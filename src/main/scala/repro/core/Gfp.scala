@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.ppr.Deadline
+import repro.ppr.{Deadline, NodeQueue}
 
 /** Result of one GFP run from a source supernode: per-child DPPR estimates,
   * the full residue vector (consumed by GFRA's sampling phase), its sum, and
@@ -28,6 +28,9 @@ object Gfp {
   def run(g: LocalGraph, q: SuperQuery, srcChild: Int, alpha: Double,
           rmax: Double, deadline: Deadline = Deadline.none): GfpResult = {
     val n       = g.n
+    val outOff  = g.outOff
+    val outAdj  = g.outAdj
+    val members = q.members
     val residue = new Array[Double](n)
     val est     = new Array[Double](q.k)
     val srcLeaves = q.children(srcChild)
@@ -35,26 +38,27 @@ object Gfp {
     srcLeaves.foreach(v => residue(v) = g.outDeg(v) / srcSize)
 
     val inQueue = new Array[Boolean](n)
-    val queue   = new java.util.ArrayDeque[Integer]()
+    val queue   = new NodeQueue(n)
     srcLeaves.foreach { v =>
       if (residue(v) > g.outDeg(v) * rmax) { queue.add(v); inQueue(v) = true }
     }
     var pushes = 0L
     while (!queue.isEmpty) {
-      if ((pushes & 0x3ff) == 0) deadline.check()
-      val vk = queue.poll().intValue(); inQueue(vk) = false
+      val vk = queue.poll(deadline); inQueue(vk) = false
       val r  = residue(vk)
       val dv = g.outDeg(vk)
       if (r > dv * rmax) {
-        val cj = q.members(vk)
+        val cj = members(vk)
         if (cj >= 0) est(cj) += alpha * r / q.size(cj)
         val share = (1.0 - alpha) * r / dv
         residue(vk) = 0.0
-        g.foreachOut(vk) { u =>
+        var e = outOff(vk)
+        val end = outOff(vk + 1)
+        while (e < end) {
+          val u = outAdj(e)
           residue(u) += share
-          if (!inQueue(u) && residue(u) > g.outDeg(u) * rmax) {
-            queue.add(u); inQueue(u) = true
-          }
+          if (!inQueue(u) && residue(u) > g.outDeg(u) * rmax) { queue.add(u); inQueue(u) = true }
+          e += 1
         }
         pushes += dv
       }
@@ -88,27 +92,33 @@ object Gbp {
               rbmax: Double, deadline: Deadline = Deadline.none,
               opBudget: Long = Long.MaxValue): (Array[Double], Long) = {
     val n       = g.n
+    val inOff   = g.inOff
+    val inAdj   = g.inAdj
     val residue = new Array[Double](n)
     val credit  = new Array[Double](n)
     val tSize   = targetLeaves.length.toDouble
     targetLeaves.foreach(v => residue(v) = 1.0 / tSize)
 
     val inQueue = new Array[Boolean](n)
-    val queue   = new java.util.ArrayDeque[Integer]()
+    val queue   = new NodeQueue(n)
     targetLeaves.foreach { v =>
       if (residue(v) > rbmax) { queue.add(v); inQueue(v) = true }
     }
     var pushes = 0L
     while (!queue.isEmpty && pushes < opBudget) {
-      if ((pushes & 0x3ff) == 0) deadline.check()
-      val vk = queue.poll().intValue(); inQueue(vk) = false
+      val vk = queue.poll(deadline); inQueue(vk) = false
       val r  = residue(vk)
       if (r > rbmax) {
         credit(vk) += alpha * g.outDeg(vk) * r
         residue(vk) = 0.0
-        g.foreachIn(vk) { u =>
-          residue(u) += (1.0 - alpha) * r / g.outDeg(u)
+        val spread = (1.0 - alpha) * r
+        var e = inOff(vk)
+        val end = inOff(vk + 1)
+        while (e < end) {
+          val u = inAdj(e)
+          residue(u) += spread / g.outDeg(u)
           if (!inQueue(u) && residue(u) > rbmax) { queue.add(u); inQueue(u) = true }
+          e += 1
         }
         pushes += g.inDeg(vk)
       }

@@ -22,6 +22,10 @@ final case class TauPushResult(
   *  4. GBP into every child V_j with DPR τ_j > τ              (Lines 6–7)
   *  5. convert DPPR to PDist via Eq. 1                        (Lines 8–9)
   *
+  * Steps 2 and 4 run one push per child, independent of each other, so they
+  * run in parallel on all cores ([[FanOut]]) with results identical to a
+  * sequential loop.
+  *
   * The `GfpTauMax` mode is the ablation variant GFP(τ_max) of §7.4: τ is set
   * to max_j τ_j so GFP alone already satisfies Lemma 4.1 for every target and
   * the GBP phase is skipped entirely.
@@ -75,39 +79,40 @@ object TauPush {
     }
     val rmax = eps * delta / (m * tauCover)
 
-    var pushes = 0L
-    val dppr = Array.ofDim[Double](k, k)
-    var i = 0
-    while (i < k) {
-      val r = Gfp.run(g, q, i, alpha, rmax, deadline)
-      dppr(i) = r.est
-      pushes += r.pushes
-      i += 1
-    }
+    val rbmax = eps * delta / (0 until k).map(q.avgDeg(_, g.outDeg)).max
 
-    var gbpTargets = 0
-    if (mode == Standard) {
-      val maxAvgDeg = (0 until k).map(q.avgDeg(_, g.outDeg)).max
-      val rbmax     = eps * delta / maxAvgDeg
-      var j = 0
-      while (j < k) {
-        if (tauJ(j) > tau) {
-          gbpTargets += 1
-          val refined = gbpLookup(j).getOrElse {
-            val (c, p) = Gbp.credits(g, q.children(j), alpha, rbmax, deadline)
-            pushes += p
-            Gbp.aggregate(q, c)
-          }
-          var s = 0
-          while (s < k) {
-            if (s != j) dppr(s)(j) = refined(s)
-            s += 1
-          }
-        }
-        j += 1
+    // GBP targets (Line 6) missing from the index get a live GBP run. The k
+    // GFP runs and the live GBP runs are independent, so they fan out across
+    // cores; each writes only its own slot, which keeps the result identical
+    // to running them one after another.
+    val gbpJ = if (mode == Standard) (0 until k).filter(tauJ(_) > tau).toArray else Array.empty[Int]
+    val refined = gbpJ.map(gbpLookup(_).orNull)
+    val live    = gbpJ.indices.filter(refined(_) == null).toArray
+
+    val dppr = new Array[Array[Double]](k)
+    val work = new Array[Long](k + live.length)
+    FanOut.foreach(k + live.length) { t =>
+      if (t < k) {
+        val r = Gfp.run(g, q, t, alpha, rmax, deadline)
+        dppr(t) = r.est
+        work(t) = r.pushes
+      } else {
+        val x = live(t - k)
+        val (c, p) = Gbp.credits(g, q.children(gbpJ(x)), alpha, rbmax, deadline)
+        refined(x) = Gbp.aggregate(q, c)
+        work(t) = p
       }
     }
 
-    TauPushResult(dppr, PDist.matrix(dppr, n), gbpTargets, pushes)
+    gbpJ.indices.foreach { x =>
+      val j = gbpJ(x)
+      var s = 0
+      while (s < k) {
+        if (s != j) dppr(s)(j) = refined(x)(s)
+        s += 1
+      }
+    }
+
+    TauPushResult(dppr, PDist.matrix(dppr, n), gbpJ.length, work.sum)
   }
 }

@@ -6,8 +6,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   *
   * This is the substrate for the push algorithms (Forward-Push, Backward-Push,
   * GFP, GBP): interactive queries in the paper touch `k <= 100` supernodes and
-  * must answer in well under a second, so — like the paper's single-thread
-  * evaluation — they run on a collected CSR. The Spark dataflow layer
+  * must answer in well under a second, so — like the paper's evaluation —
+  * they run on a collected CSR. The Spark dataflow layer
   * ([[GraphOps]]) produces and consumes the same edge sets as DataFrames.
   *
   * Invariants guaranteed by the constructors:

@@ -30,10 +30,12 @@ object ForwardPush {
   def push(g: LocalGraph, init: Array[Double], alpha: Double, rmax: Double,
            deadline: Deadline = Deadline.none): PushResult = {
     val n       = g.n
+    val outOff  = g.outOff
+    val outAdj  = g.outAdj
     val residue = init.clone()
     val est     = new Array[Double](n)
     val inQueue = new Array[Boolean](n)
-    val queue   = new java.util.ArrayDeque[Integer]()
+    val queue   = new NodeQueue(n)
     var v = 0
     while (v < n) {
       if (residue(v) > g.outDeg(v) * rmax) { queue.add(v); inQueue(v) = true }
@@ -41,19 +43,20 @@ object ForwardPush {
     }
     var pushes = 0L
     while (!queue.isEmpty) {
-      if ((pushes & 0x3ff) == 0) deadline.check()
-      val vk = queue.poll().intValue(); inQueue(vk) = false
+      val vk = queue.poll(deadline); inQueue(vk) = false
       val r  = residue(vk)
       val dv = g.outDeg(vk)
       if (r > dv * rmax) {
         est(vk) += alpha * r
         val share = (1.0 - alpha) * r / dv
         residue(vk) = 0.0
-        g.foreachOut(vk) { u =>
+        var e = outOff(vk)
+        val end = outOff(vk + 1)
+        while (e < end) {
+          val u = outAdj(e)
           residue(u) += share
-          if (!inQueue(u) && residue(u) > g.outDeg(u) * rmax) {
-            queue.add(u); inQueue(u) = true
-          }
+          if (!inQueue(u) && residue(u) > g.outDeg(u) * rmax) { queue.add(u); inQueue(u) = true }
+          e += 1
         }
         pushes += dv
       }
@@ -87,10 +90,12 @@ object BackwardPush {
   def push(g: LocalGraph, init: Array[Double], alpha: Double, rbmax: Double,
            deadline: Deadline = Deadline.none): PushResult = {
     val n       = g.n
+    val inOff   = g.inOff
+    val inAdj   = g.inAdj
     val residue = init.clone()
     val est     = new Array[Double](n)
     val inQueue = new Array[Boolean](n)
-    val queue   = new java.util.ArrayDeque[Integer]()
+    val queue   = new NodeQueue(n)
     var v = 0
     while (v < n) {
       if (residue(v) > rbmax) { queue.add(v); inQueue(v) = true }
@@ -98,15 +103,19 @@ object BackwardPush {
     }
     var pushes = 0L
     while (!queue.isEmpty) {
-      if ((pushes & 0x3ff) == 0) deadline.check()
-      val vk = queue.poll().intValue(); inQueue(vk) = false
+      val vk = queue.poll(deadline); inQueue(vk) = false
       val r  = residue(vk)
       if (r > rbmax) {
         est(vk) += alpha * r
         residue(vk) = 0.0
-        g.foreachIn(vk) { u =>
-          residue(u) += (1.0 - alpha) * r / g.outDeg(u)
+        val spread = (1.0 - alpha) * r
+        var e = inOff(vk)
+        val end = inOff(vk + 1)
+        while (e < end) {
+          val u = inAdj(e)
+          residue(u) += spread / g.outDeg(u)
           if (!inQueue(u) && residue(u) > rbmax) { queue.add(u); inQueue(u) = true }
+          e += 1
         }
         pushes += g.inDeg(vk)
       }

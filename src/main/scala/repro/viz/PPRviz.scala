@@ -1,7 +1,7 @@
 package repro.viz
 
 import java.util.Random
-import repro.core.{Gbp, SuperQuery, TauPush, TauPushResult}
+import repro.core.{FanOut, Gbp, SuperQuery, TauPush, TauPushResult}
 import repro.graph.LocalGraph
 import repro.hierarchy.Hierarchy
 import repro.layout.StressMajorization
@@ -63,41 +63,38 @@ object PPRviz {
     * threshold, aggregated against its parent's query (the only query it can
     * appear in as a child). r^b_max follows Eq. 6 for that query.
     * `opBudget` caps per-target work on the perf path (tests exercise the
-    * unbudgeted [[Gbp]]).
+    * unbudgeted [[Gbp]]). The per-target GBP runs are independent and run
+    * in parallel on all cores; the aggregates are the same as a sequential
+    * loop's.
     */
   def buildGbpAggregates(g: LocalGraph, hier: Hierarchy, leafDpr: Array[Double],
                          k: Int, alpha: Double, eps: Double,
                          opBudget: Long): Map[(Int, Int), Array[Double]] = {
     val tau = 1.0 / math.sqrt(k.toDouble * g.n)
     val del = delta(k)
-    val out = Map.newBuilder[(Int, Int), Array[Double]]
-    var level = 0
-    while (level <= hier.nLevels) {
+    // One entry per target: its key, its leaves, its parent's query and that
+    // query's r^b_max. Targets are grouped by parent so each parent query is
+    // built once. The stored array is indexed in the child order
+    // `queryWithIds` yields, which is what the lookup in `queryPDist` reads.
+    val targets = (0 to hier.nLevels).flatMap { level =>
       val sets = hier.leafSets(level)
-      // Group targets by parent so each parent query is built once.
-      val byParent = (0 until sets.length)
+      (0 until sets.length)
         .filter(id => Dpr.ofSupernode(leafDpr, sets(id)) > tau)
-        .groupBy { id =>
-          if (level == hier.nLevels) -1 else hier.parents(level)(id)
+        .groupBy(id => if (level == hier.nLevels) -1 else hier.parents(level)(id))
+        .toSeq
+        .flatMap { case (parent, ids) =>
+          val (q, _) = queryWithIds(hier, level + 1, parent)
+          val rbmax  = eps * del / (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
+          ids.map(id => ((level, id), sets(id), q, rbmax))
         }
-      byParent.foreach { case (parent, targets) =>
-        val (q, ids) =
-          if (parent == -1) queryWithIds(hier, hier.nLevels + 1, -1)
-          else queryWithIds(hier, level + 1, parent)
-        val maxAvgDeg = (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
-        val rbmax     = eps * del / maxAvgDeg
-        targets.foreach { id =>
-          val (credit, _) = Gbp.credits(g, sets(id), alpha, rbmax, Deadline.none, opBudget)
-          out += ((level, id) -> Gbp.aggregate(q, credit))
-        }
-        // `ids` is unused here but documents the alignment: the stored array
-        // is indexed by the same child order `queryWithIds` yields at query
-        // time, which is what makes the lookup in TauPushIndexed valid.
-        locally(ids)
-      }
-      level += 1
     }
-    out.result()
+    val aggs = new Array[Array[Double]](targets.length)
+    FanOut.foreach(targets.length) { t =>
+      val (_, leaves, q, rbmax) = targets(t)
+      val (credit, _) = Gbp.credits(g, leaves, alpha, rbmax, Deadline.none, opBudget)
+      aggs(t) = Gbp.aggregate(q, credit)
+    }
+    targets.iterator.map(_._1).zip(aggs).toMap
   }
 
   /** Children + their level-(ℓ-1) ids for a selected supernode; id = -1
