@@ -15,8 +15,22 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
   def nLevels: Int = parents.length
 
   /** Number of nodes at a level (level 0 = leaves). */
-  def levelSize(level: Int): Int =
-    if (level == 0) g.n else parents(level - 1).max + 1
+  def levelSize(level: Int): Int = levelSizes(level)
+
+  private lazy val levelSizes: Array[Int] =
+    Array.tabulate(nLevels + 1)(l => if (l == 0) g.n else parents(l - 1).max + 1)
+
+  /** Children lists per level: children(ℓ-1)(id) = the level-(ℓ-1) ids whose
+    * parent is supernode `id` at level ℓ, ascending.
+    */
+  private lazy val children: Array[Array[Array[Int]]] =
+    Array.tabulate(nLevels) { l =>
+      val p    = parents(l)
+      val bufs = Array.fill(levelSize(l + 1))(scala.collection.mutable.ArrayBuilder.make[Int])
+      var c = 0
+      while (c < p.length) { bufs(p(c)) += c; c += 1 }
+      bufs.map(_.result())
+    }
 
   /** anc(ℓ)(leaf) = the level-ℓ ancestor of a leaf; anc(0) = identity. */
   lazy val anc: Array[Array[Int]] = {
@@ -43,8 +57,8 @@ final class Hierarchy(val g: LocalGraph, val parents: Array[Array[Int]]) extends
   /** Children (level-(ℓ-1) ids) of supernode `id` at level ℓ ≥ 1. */
   def childrenOf(level: Int, id: Int): Array[Int] = {
     require(level >= 1 && level <= nLevels)
-    val p = parents(level - 1)
-    (0 until p.length).filter(p(_) == id).toArray
+    val cs = children(level - 1)
+    if (id < 0 || id >= cs.length) Array.empty[Int] else cs(id).clone()
   }
 
   /** Query for visualizing the children of supernode (level, id): one child

@@ -12,16 +12,19 @@ package repro.ppr
 final class NodeQueue(capacity: Int) {
   private val ring  = new Array[Int](capacity)
   private var head  = 0
-  private var size  = 0
+  private var count = 0
   private var polls = 0L
 
-  def isEmpty: Boolean = size == 0
+  def isEmpty: Boolean = count == 0
+
+  /** Number of nodes in the queue. */
+  def size: Int = count
 
   def add(v: Int): Unit = {
-    var tail = head + size
+    var tail = head + count
     if (tail >= capacity) tail -= capacity
     ring(tail) = v
-    size += 1
+    count += 1
   }
 
   /** Removes and returns the oldest node, checking `deadline` first on
@@ -33,7 +36,7 @@ final class NodeQueue(capacity: Int) {
     val v = ring(head)
     head += 1
     if (head == capacity) head = 0
-    size -= 1
+    count -= 1
     v
   }
 }

@@ -41,6 +41,12 @@ object PPRviz {
   val DefaultAlpha = 0.2
   val DefaultEps: Double = 1.0 - 1.0 / math.E
 
+  /** Per-target cap on the GBP index's pushed edges. A target that reaches
+    * it fails preprocessing, so it sits well above the largest target
+    * measured on the stand-ins (about 34M on Twitter-lite at k = 100).
+    */
+  val DefaultGbpOpBudget = 100_000_000L
+
   /** δ = 1/(10k) as in §7.1. */
   def delta(k: Int): Double = 1.0 / (10.0 * k)
 
@@ -52,7 +58,7 @@ object PPRviz {
 
   def preprocess(g: LocalGraph, k: Int, alpha: Double = DefaultAlpha,
                  eps: Double = DefaultEps,
-                 gbpOpBudget: Long = 30_000_000L): PprVizIndex = {
+                 gbpOpBudget: Long = DefaultGbpOpBudget): PprVizIndex = {
     val (hier, tHier) = timeSec(Hierarchy.build(g, k))
     val (dpr, tDpr)   = timeSec(Dpr.vector(g, alpha))
     val (agg, tGbp)   = timeSec(buildGbpAggregates(g, hier, dpr, k, alpha, eps, gbpOpBudget))
@@ -62,10 +68,11 @@ object PPRviz {
   /** Precompute GBP results for every supernode with DPR above the filter
     * threshold, aggregated against its parent's query (the only query it can
     * appear in as a child). r^b_max follows Eq. 6 for that query.
-    * `opBudget` caps per-target work on the perf path (tests exercise the
-    * unbudgeted [[Gbp]]). The per-target GBP runs are independent and run
-    * in parallel on all cores; the aggregates are the same as a sequential
-    * loop's.
+    * `opBudget` caps per-target work: a target whose run it stops before
+    * convergence fails the build with an `IllegalStateException` naming the
+    * target, rather than store a truncated aggregate. The per-target GBP
+    * runs are independent and run in parallel on all cores; the aggregates
+    * are the same as a sequential loop's.
     */
   def buildGbpAggregates(g: LocalGraph, hier: Hierarchy, leafDpr: Array[Double],
                          k: Int, alpha: Double, eps: Double,
@@ -90,9 +97,14 @@ object PPRviz {
     }
     val aggs = new Array[Array[Double]](targets.length)
     FanOut.foreach(targets.length) { t =>
-      val (_, leaves, q, rbmax) = targets(t)
-      val (credit, _) = Gbp.credits(g, leaves, alpha, rbmax, Deadline.none, opBudget)
-      aggs(t) = Gbp.aggregate(q, credit)
+      val ((level, id), leaves, q, rbmax) = targets(t)
+      val run = Gbp.creditsWithOutcome(g, leaves, alpha, rbmax, Deadline.none, opBudget)
+      if (!run.outcome.converged)
+        throw new IllegalStateException(s"GBP index: target (level $level, id $id) " +
+          s"stopped at the op budget before converging (${run.outcome.pushes} pushes, " +
+          s"budget $opBudget); its estimates would not meet the (eps,delta) guarantee, " +
+          "so raise the budget")
+      aggs(t) = Gbp.aggregate(q, run.credit)
     }
     targets.iterator.map(_._1).zip(aggs).toMap
   }

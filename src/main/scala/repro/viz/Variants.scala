@@ -47,7 +47,7 @@ object Variants {
   def buildIndex(variant: Variant, g: LocalGraph, k: Int, hier: Hierarchy,
                  alpha: Double = PPRviz.DefaultAlpha,
                  eps: Double = PPRviz.DefaultEps,
-                 gbpOpBudget: Long = 30_000_000L,
+                 gbpOpBudget: Long = PPRviz.DefaultGbpOpBudget,
                  seed: Long = 99): VariantIndex = {
     val base = hier.sizeBytes
     variant match {

@@ -104,13 +104,9 @@ class FanOutSpec extends AnyFunSuite {
     */
   private def sequentialTauPush(q: SuperQuery, lookup: Int => Option[Array[Double]])
       : (Array[Array[Double]], Long, Int, Int) = {
-    val delta    = PPRviz.delta(k)
     val tauJ     = Array.tabulate(q.k)(j => Dpr.ofSupernode(dpr, q.children(j)))
     val tau      = 1.0 / math.sqrt(q.k.toDouble * g.n)
-    val covered  = tauJ.filter(_ <= tau)
-    val tauCover = if (covered.isEmpty || covered.max <= 0.0) tau else covered.max
-    val rmax     = eps * delta / (g.m.toDouble * tauCover)
-    val rbmax    = eps * delta / (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
+    val (rmax, rbmax) = thresholds(q, PPRviz.delta(k))
     var pushes = 0L
     var hits   = 0
     val dppr = Array.tabulate(q.k) { i =>
@@ -130,6 +126,16 @@ class FanOutSpec extends AnyFunSuite {
       (0 until q.k).foreach(s => if (s != j) dppr(s)(j) = refined(s))
     }
     (dppr, pushes, targets.length, hits)
+  }
+
+  /** Tau-Push's r_max and r^b_max for query `q` and failure probability `delta`. */
+  private def thresholds(q: SuperQuery, delta: Double): (Double, Double) = {
+    val tauJ     = Array.tabulate(q.k)(j => Dpr.ofSupernode(dpr, q.children(j)))
+    val tau      = 1.0 / math.sqrt(q.k.toDouble * g.n)
+    val covered  = tauJ.filter(_ <= tau)
+    val tauCover = if (covered.isEmpty || covered.max <= 0.0) tau else covered.max
+    (eps * delta / (g.m.toDouble * tauCover),
+      eps * delta / (0 until q.k).map(q.avgDeg(_, g.outDeg)).max)
   }
 
   /** Runs `TauPush.run` 5 times against the sequential loop; returns the
@@ -179,6 +185,44 @@ class FanOutSpec extends AnyFunSuite {
       }
       val overshootMs = (System.nanoTime() - due) / 1e6
       assert(!pushRunning(), "a push of the aborted call was still running")
+      assert(overshootMs <= 50.0, s"deadline overshoot $overshootMs ms")
+    }
+  }
+
+  test("a deadline that expires inside GFP sweeps stops Tau-Push within 50 ms, no push left running") {
+    val (q, _) = PPRviz.queryWithIds(hier, hier.nLevels + 1, -1)
+    // With δ this small each GFP run leaves the FIFO phase within its first
+    // 100 000 pushed edges, about a millisecond, and then sweeps for
+    // seconds, so the 30 ms deadline expires while the workers are sweeping.
+    val delta = 1e-200
+    val (rmax, _) = thresholds(q, delta)
+    (0 until q.k).foreach { i =>
+      val (_, outcome) = Gfp.runWithOutcome(g, q, i, alpha, rmax, Deadline.none, 100_000L)
+      assert(outcome.swept, s"GFP from child $i did not reach the sweep phase")
+    }
+    (1 to 3).foreach { _ =>
+      val due = System.nanoTime() + 30_000_000L
+      intercept[Deadline.Exceeded] {
+        TauPush.run(g, q, dpr, alpha, eps, delta, TauPush.Standard, new Deadline(due))
+      }
+      val overshootMs = (System.nanoTime() - due) / 1e6
+      assert(!pushRunning(), "a push of the aborted call was still running")
+      assert(overshootMs <= 50.0, s"deadline overshoot $overshootMs ms")
+    }
+  }
+
+  test("a deadline that expires inside a live GBP sweep stops it within 50 ms") {
+    val (q, _) = PPRviz.queryWithIds(hier, hier.nLevels + 1, -1)
+    (0 until 3).foreach { j =>
+      // As above: the run sweeps within its first 100 000 pushed edges.
+      val outcome = Gbp.creditsWithOutcome(g, q.children(j), alpha, 1e-250, Deadline.none,
+        100_000L).outcome
+      assert(outcome.swept, s"GBP for child $j did not reach the sweep phase")
+      val due = System.nanoTime() + 30_000_000L
+      intercept[Deadline.Exceeded] {
+        Gbp.credits(g, q.children(j), alpha, rbmax = 1e-250, new Deadline(due))
+      }
+      val overshootMs = (System.nanoTime() - due) / 1e6
       assert(overshootMs <= 50.0, s"deadline overshoot $overshootMs ms")
     }
   }

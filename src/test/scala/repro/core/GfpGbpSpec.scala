@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.GraphGen
-import repro.ppr.{Dpr, PowerIteration}
+import repro.ppr.{Deadline, Dpr, PowerIteration}
 
 /** Lemma 4.1 / 4.2: GFP and GBP return (ε,δ)-approximate level-ℓ DPPR under
   * the paper's threshold settings, verified against the exact Eq. 2 values.
@@ -97,6 +97,99 @@ class GfpGbpSpec extends AnyFunSuite {
     assert(pushesSmall <= pushesFull)
     val maxInDeg = (0 until g.n).map(g.inDeg).max
     assert(pushesSmall <= 10 + maxInDeg) // at most one step past the budget
+  }
+
+  // The sweep phase. FilmTrust (n = 874, power-law) switches from the FIFO
+  // queue to sweeps once 54 nodes are queued, so a small threshold runs both
+  // phases and a large one stays in the FIFO phase.
+  private lazy val pg = GraphGen.filmTrust
+  private lazy val pq = SuperQuery(pg.n,
+    Array(Array(0, 1, 2), Array(5, 6), Array(40, 41, 42, 43), Array(300, 301), Array(800, 850)))
+  private lazy val pgExactD = PowerIteration.dpprMatrix(pg, alpha)
+
+  private def gfp(i: Int, rmax: Double): (GfpResult, Push.Outcome) =
+    Gfp.runWithOutcome(pg, pq, i, alpha, rmax, Deadline.none, Long.MaxValue)
+
+  private def gbp(j: Int, rbmax: Double, opBudget: Long = Long.MaxValue): GbpRun =
+    Gbp.creditsWithOutcome(pg, pq.children(j), alpha, rbmax, Deadline.none, opBudget)
+
+  test("GFP with a large rmax stays in the FIFO phase, a small one reaches sweeps") {
+    val (_, large) = gfp(0, rmax = 0.1)
+    assert(large.pushes > 0 && !large.swept && large.converged)
+    val (_, small) = gfp(0, rmax = 1e-7)
+    assert(small.swept && small.converged)
+  }
+
+  test("GFP through the sweep phase keeps the grouped invariant of Lemma A.2 and its stopping rule") {
+    (0 until pq.k).foreach { i =>
+      val (r, outcome) = gfp(i, rmax = 1e-6)
+      assert(outcome.swept, s"source child $i never left the FIFO phase")
+      (0 until pg.n).foreach(v => assert(r.residue(v) <= pg.outDeg(v) * 1e-6, s"node $v"))
+      val exactRow = Dppr.exactRow(pg, pq, i, alpha)
+      (0 until pq.k).foreach { j =>
+        val err = pq.children(j).map { t =>
+          (0 until pg.n).map(v => r.residue(v) / pg.outDeg(v) * pgExactD(v)(t)).sum
+        }.sum / pq.size(j)
+        assert(math.abs(exactRow(j) - (r.est(j) + err)) < 1e-6, s"pair ($i,$j)")
+      }
+    }
+  }
+
+  test("GBP on degree-scaled residues keeps the backward-push invariant through the sweep phase") {
+    // For every node s: avg_{t∈T} d(s)·π(s,t) = credit(s) + Σ_v d(s)·π(s,v)·r(v),
+    // with r(v) = s(v)/d(v) the unscaled final residue.
+    val rbmax = 1e-6
+    (0 until pq.k).foreach { j =>
+      val target = pq.children(j)
+      val run = gbp(j, rbmax)
+      assert(run.outcome.swept, s"target child $j never left the FIFO phase")
+      (0 until pg.n).foreach { v =>
+        assert(run.scaled(v) <= pg.outDeg(v) * rbmax, s"node $v above the stopping threshold")
+        val lhs = target.map(t => pgExactD(v)(t)).sum / target.length
+        var rhs = run.credit(v)
+        (0 until pg.n).foreach(u => rhs += pgExactD(v)(u) * run.scaled(u) / pg.outDeg(u))
+        assert(math.abs(lhs - rhs) < 1e-6, s"target child $j, node $v")
+      }
+    }
+  }
+
+  test("GBP opBudget stops a run inside the sweep phase at most one push past the budget") {
+    val rbmax = 1e-7
+    val full  = gbp(2, rbmax).outcome
+    val budget = full.pushes / 2
+    val cut = gbp(2, rbmax, budget)
+    assert(cut.outcome.swept && !cut.outcome.converged)
+    assert(cut.outcome.pushes >= budget)
+    val maxInDeg = (0 until pg.n).map(pg.inDeg).max
+    assert(cut.outcome.pushes <= budget + maxInDeg)
+    assert(cut.outcome.pushes < full.pushes)
+    assert((0 until pg.n).exists(v => cut.scaled(v) > pg.outDeg(v) * rbmax))
+  }
+
+  test("a GBP run whose last push crosses the budget has converged") {
+    val rbmax = 1e-7
+    val full  = gbp(2, rbmax)
+    // With the budget at the full push count, the check before the last
+    // push passes, that push reaches the budget, and the next sweep finds
+    // nothing to push.
+    val atBudget = gbp(2, rbmax, full.outcome.pushes)
+    assert(atBudget.outcome == full.outcome)
+    assert(atBudget.outcome.converged)
+    assert(java.util.Arrays.equals(atBudget.credit, full.credit))
+  }
+
+  test("GBP credits from the sweep phase stay within the Lemma 4.2 bound") {
+    val rbmax = 1e-5
+    val exact = Dppr.exactMatrix(pg, pq, alpha)
+    (0 until pq.k).foreach { j =>
+      val run = gbp(j, rbmax)
+      assert(run.outcome.swept, s"target child $j")
+      val est = Gbp.aggregate(pq, run.credit)
+      (0 until pq.k).foreach { i =>
+        val err = exact(i)(j) - est(i)
+        assert(err >= -1e-9 && err <= pq.avgDeg(i, pg.outDeg) * rbmax + 1e-9, s"pair ($i,$j)")
+      }
+    }
   }
 
   test("exactRow equals the per-leaf Eq. 2 aggregation") {

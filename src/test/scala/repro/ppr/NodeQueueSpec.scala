@@ -15,6 +15,17 @@ class NodeQueueSpec extends AnyFunSuite {
     assert(out == Seq(0, 1, 2, 3, 4, 5))
   }
 
+  test("size counts the queued nodes across the wrap-around") {
+    val q = new NodeQueue(3)
+    assert(q.size == 0)
+    q.add(7); q.add(8); q.add(9)
+    assert(q.size == 3)
+    q.poll(Deadline.none); q.add(10)
+    assert(q.size == 3)
+    while (!q.isEmpty) q.poll(Deadline.none)
+    assert(q.size == 0)
+  }
+
   test("poll checks the deadline on the first and then every 1024th call") {
     val q = new NodeQueue(3000)
     (0 until 3000).foreach(q.add)

@@ -106,4 +106,35 @@ class PPRvizSpec extends AnyFunSuite {
         deadline = new Deadline(System.nanoTime() - 1))
     }
   }
+
+  test("the GBP index fails loudly when the op budget stops a target before it converges") {
+    val budget = 10L
+    val err = intercept[IllegalStateException] {
+      PPRviz.buildGbpAggregates(g, index.hier, index.leafDpr, k, PPRviz.DefaultAlpha,
+        PPRviz.DefaultEps, budget)
+    }
+    val Msg = """GBP index: target \(level (\d+), id (\d+)\) stopped at the op budget before converging \((\d+) pushes, budget 10\).*""".r
+    err.getMessage match {
+      case Msg(level, id, pushes) =>
+        assert(index.gbpAgg.contains((level.toInt, id.toInt)), s"(level $level, id $id) is not a GBP target")
+        assert(pushes.toLong >= budget)
+      case other => fail(s"unexpected message: $other")
+    }
+  }
+
+  test("the GBP index builds when a target's last push crosses the op budget") {
+    // The largest target's full push count as the budget: its last push
+    // reaches the budget, yet the run converged, so the build succeeds.
+    val budget = index.gbpAgg.keys.map { case (level, id) =>
+      val (q, ids) =
+        if (level == index.hier.nLevels) PPRviz.queryWithIds(index.hier, index.hier.nLevels + 1, -1)
+        else PPRviz.queryWithIds(index.hier, level + 1, index.hier.parents(level)(id))
+      val rbmax = PPRviz.DefaultEps * PPRviz.delta(k) / (0 until q.k).map(q.avgDeg(_, g.outDeg)).max
+      repro.core.Gbp.credits(g, q.children(ids.indexOf(id)), PPRviz.DefaultAlpha, rbmax)._2
+    }.max
+    val agg = PPRviz.buildGbpAggregates(g, index.hier, index.leafDpr, k, PPRviz.DefaultAlpha,
+      PPRviz.DefaultEps, budget)
+    assert(agg.keySet == index.gbpAgg.keySet)
+    agg.foreach { case (key, a) => assert(java.util.Arrays.equals(a, index.gbpAgg(key)), s"target $key") }
+  }
 }
